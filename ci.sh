@@ -14,6 +14,7 @@
 #   hazard analysis     ~5 s
 #   chaos suites        ~2 min (each capped at 600 s)
 #   bench smoke         ~30 s
+#   stepbench           ~1 min (own nested workspace: first build + N = 24 smoke)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -133,5 +134,14 @@ echo "==> bench smoke (perf regression gate vs committed baselines)"
 # unmeasurable). Regenerate the baselines with
 #   cargo run --release -p psdns-bench --bin baseline
 cargo run --release -p psdns-bench --bin baseline --offline -q -- --smoke --check
+
+echo "==> stepbench (the repo's step benchmark still builds, runs and checks its spectra)"
+# benchmark/ is a nested workspace the root manifest does not know, pinned to
+# the program's public API (benchmark/README.md "Pinned API surface") and
+# off-limits to PRs that claim a gain. A trait or API change that strands it
+# must fail here, not in the driver: build it, run every workload once at
+# N = 24 with its spectrum checks, and run its unit tests.
+cargo run --release --offline -q --manifest-path benchmark/Cargo.toml -- --smoke
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 echo "CI OK"

@@ -143,12 +143,21 @@ macro_rules! abft_tuple {
 
 abft_tuple!((0 A), (0 A, 1 B), (0 A, 1 B, 2 C), (0 A, 1 B, 2 C, 3 D));
 
-/// One FNV-1a checksum per [`ABFT_BLOCK`]-element block, in payload order.
-/// Empty payloads produce an empty sidecar (nothing to protect).
+/// One FNV-1a checksum per [`ABFT_BLOCK`]-element block, in payload order,
+/// appended to `out` (a recycled sidecar buffer on the send path). Empty
+/// payloads produce an empty sidecar (nothing to protect).
+pub(crate) fn block_checksums_into<T: AbftData>(data: &[T], out: &mut Vec<u64>) {
+    out.extend(
+        data.chunks(ABFT_BLOCK)
+            .map(|blk| blk.iter().fold(FNV_OFFSET, |h, x| x.fold(h))),
+    );
+}
+
+#[cfg(test)]
 pub(crate) fn block_checksums<T: AbftData>(data: &[T]) -> Vec<u64> {
-    data.chunks(ABFT_BLOCK)
-        .map(|blk| blk.iter().fold(FNV_OFFSET, |h, x| x.fold(h)))
-        .collect()
+    let mut out = Vec::new();
+    block_checksums_into(data, &mut out);
+    out
 }
 
 /// Recompute the sidecar and report the first mismatching block, if any. A

@@ -83,7 +83,7 @@ impl Communicator {
         self.record_post(CollectiveKind::Allgather, tag, true);
         for dst in 0..self.size() {
             if dst != self.rank() {
-                self.send_coll(dst, tag, data.to_vec());
+                self.send_coll(dst, tag, data);
             }
         }
         let mut out = Vec::new();
@@ -91,7 +91,9 @@ impl Communicator {
             if src == self.rank() {
                 out.extend_from_slice(data);
             } else {
-                out.extend(self.recv_coll::<T>(src, tag));
+                let piece = self.recv_coll::<T>(src, tag);
+                out.extend_from_slice(&piece);
+                self.shared.wire.give(piece);
             }
         }
         out
@@ -131,6 +133,13 @@ impl Communicator {
         self.ialltoall(send).wait()
     }
 
+    /// [`Self::alltoall`] into a caller-owned buffer of `send.len()`
+    /// elements: with the recycled wire buffers underneath, a steady-state
+    /// exchange allocates nothing.
+    pub fn alltoall_into<T: crate::AbftData>(&self, send: &[T], recv: &mut [T]) {
+        self.ialltoall(send).wait_into(recv)
+    }
+
     /// Nonblocking all-to-all: sends are posted immediately; the returned
     /// [`Request`] completes the receives. This is the paper's
     /// `MPI_IALLTOALL` used to overlap the transpose with GPU work (§3.4).
@@ -164,7 +173,7 @@ impl Communicator {
             )
         });
         for dst in 0..self.size() {
-            self.send_coll(dst, tag, send[dst * chunk..(dst + 1) * chunk].to_vec());
+            self.send_coll(dst, tag, &send[dst * chunk..(dst + 1) * chunk]);
         }
         drop(span);
         Request::new(self.clone_handle(), tag, chunk)
@@ -187,14 +196,15 @@ impl Communicator {
         for dst in 0..self.size() {
             let piece = &send[offset..offset + send_counts[dst]];
             offset += send_counts[dst];
-            self.send_coll(dst, tag, piece.to_vec());
+            self.send_coll(dst, tag, piece);
         }
         let mut out = Vec::new();
         let mut counts = Vec::with_capacity(self.size());
         for src in 0..self.size() {
             let piece = self.recv_coll::<T>(src, tag);
             counts.push(piece.len());
-            out.extend(piece);
+            out.extend_from_slice(&piece);
+            self.shared.wire.give(piece);
         }
         (out, counts)
     }
@@ -604,6 +614,63 @@ mod stress_tests {
             .sum();
         for s in out {
             assert_eq!(s, expect);
+        }
+    }
+}
+
+#[cfg(test)]
+mod wire_tests {
+    use crate::{ChaosConfig, ChaosEngine, FaultPlan, Universe};
+
+    #[test]
+    fn alltoall_into_matches_alltoall() {
+        let out = Universe::run(3, |comm| {
+            let send: Vec<u32> = (0..6).map(|i| (comm.rank() * 10 + i) as u32).collect();
+            let mut recv = vec![u32::MAX; 6];
+            comm.alltoall_into(&send, &mut recv);
+            (recv, comm.alltoall(&send))
+        });
+        for (into, allocating) in out {
+            assert_eq!(into, allocating);
+        }
+    }
+
+    /// Steady state: a repeated exchange draws every wire buffer from the
+    /// free-list, so the list stops growing after the first round; and with
+    /// duplicate/drop/reorder faults it ends no larger than without them (a
+    /// buffer can be given back at most once, a lost one is simply gone).
+    #[test]
+    fn free_list_is_bounded_by_chunks_in_flight() {
+        let rounds = |comm: &crate::Communicator| {
+            let send = vec![comm.rank() as u64; 4 * comm.size()];
+            let mut recv = vec![0; send.len()];
+            let mut high_water = 0;
+            for _ in 0..50 {
+                comm.alltoall_into(&send, &mut recv);
+                comm.barrier();
+                high_water = high_water.max(comm.wire_buffers_idle());
+            }
+            high_water
+        };
+        let p = 3;
+        // One key, P chunks from each of P ranks, and a barrier after every
+        // exchange: at most P² buffers ever exist.
+        for idle in Universe::run(p, |comm| rounds(&comm)) {
+            assert!((1..=p * p).contains(&idle), "fault-free: {idle} idle");
+        }
+        let mut cfg = ChaosConfig::new(17);
+        cfg.duplicate = FaultPlan::with_prob(0.3);
+        cfg.drop = FaultPlan::with_prob(0.2);
+        cfg.reorder = FaultPlan::with_prob(0.2);
+        // Enough resends that no message is lost for good (this exchange
+        // has no watchdog to turn that into an error).
+        cfg.retry.max_retries = 12;
+        cfg.retry.backoff = std::time::Duration::from_micros(20);
+        let Ok(faulty) = Universe::run_chaos(p, ChaosEngine::new(cfg), |comm| rounds(&comm)) else {
+            panic!("message faults are masked, the job survives");
+        };
+        for idle in faulty {
+            assert!(idle <= p * p, "under faults: {idle} idle");
         }
     }
 }

@@ -10,6 +10,7 @@ use psdns_chaos::FaultKind;
 use psdns_sync::channel::RecvTimeoutError;
 
 use crate::universe::{Packet, Shared};
+use crate::wire::WireBuf;
 
 /// Errors surfaced by the messaging layer. Most misuse (wrong buffer sizes,
 /// rank out of range) panics like an MPI abort; these are the recoverable
@@ -343,41 +344,57 @@ impl Communicator {
     }
 
     pub(crate) fn send_raw<T: Clone + Send + 'static>(&self, dst: usize, tag: u64, data: Vec<T>) {
-        self.send_packet(dst, tag, data, None);
+        self.send_packet(dst, tag, Box::new(data), None);
     }
 
-    /// Checksummed collective send: computes the ABFT sidecar, retains a
-    /// clean copy for retransmission, then exposes the in-flight payload to
-    /// seeded bit-flip injection (site `flip:{gsrc}->{gdst}`). The flip
-    /// happens strictly *after* the sidecar is computed, so any transit
-    /// corruption — any bit, any block — is detectable on receipt.
-    pub(crate) fn send_coll<T: crate::AbftData>(&self, dst: usize, tag: u64, mut data: Vec<T>) {
+    /// Collective send of a copy of `data` in a recycled wire buffer (see
+    /// [`crate::wire`]). With ABFT armed it also computes the sidecar,
+    /// retains a clean copy for retransmission — both in recycled buffers
+    /// too — then exposes the in-flight payload to seeded bit-flip injection
+    /// (site `flip:{gsrc}->{gdst}`). The flip happens strictly *after* the
+    /// sidecar is computed, so any transit corruption — any bit, any block —
+    /// is detectable on receipt.
+    pub(crate) fn send_coll<T: crate::AbftData>(&self, dst: usize, tag: u64, data: &[T]) {
+        let pool = &self.shared.wire;
+        let mut wire = pool.take::<T>(data.len());
+        wire.extend_from_slice(data);
         if !self.abft {
-            return self.send_raw(dst, tag, data);
+            return self.send_packet(dst, tag, wire, None);
         }
         assert!(dst < self.size(), "destination rank {dst} out of range");
         let gdst = self.members[dst];
         let gsrc = self.members[self.rank];
-        let crcs = crate::abft::block_checksums(&data);
+        let mut crcs = pool.take::<u64>(data.len().div_ceil(crate::abft::ABFT_BLOCK));
+        crate::abft::block_checksums_into(data, &mut crcs);
+        let mut clean = pool.take::<T>(data.len());
+        clean.extend_from_slice(data);
         self.shared
             .retx
             .lock()
-            .insert((self.ctx, tag, gsrc, gdst), Box::new(data.clone()));
+            .insert((self.ctx, tag, gsrc, gdst), clean);
         if let Some(ch) = &self.shared.chaos {
             let site = format!("flip:{gsrc}->{gdst}");
             if let Some(k) = ch.check_seq(gsrc, &site, FaultKind::BitFlip) {
-                crate::abft::flip_payload_bit(&mut data, ch.draw(&site, FaultKind::BitFlip, k));
+                crate::abft::flip_payload_bit(&mut wire, ch.draw(&site, FaultKind::BitFlip, k));
             }
         }
-        self.send_packet(dst, tag, data, Some(crcs));
+        self.send_packet(dst, tag, wire, Some(crcs));
+    }
+
+    /// Idle buffers on this universe's wire free-list (all communicators,
+    /// all ranks). Bounded by the number of collective chunks that were ever
+    /// in flight at once; exposed so tests can assert that faults neither
+    /// leak nor double-return a buffer.
+    pub fn wire_buffers_idle(&self) -> usize {
+        self.shared.wire.idle()
     }
 
     fn send_packet<T: Clone + Send + 'static>(
         &self,
         dst: usize,
         tag: u64,
-        data: Vec<T>,
-        crcs: Option<Vec<u64>>,
+        data: WireBuf<T>,
+        crcs: Option<WireBuf<u64>>,
     ) {
         assert!(dst < self.size(), "destination rank {dst} out of range");
         let gdst = self.members[dst];
@@ -390,7 +407,7 @@ impl Communicator {
                 uid: 0,
                 dup: false,
                 crcs,
-                payload: Box::new(data),
+                payload: data,
             };
             self.push_packet(gsrc, gdst, pkt);
             return;
@@ -426,7 +443,7 @@ impl Communicator {
             uid,
             dup,
             crcs: crcs.clone(),
-            payload: Box::new(data.clone()),
+            payload: data.clone(),
         });
         let pkt = Packet {
             ctx: self.ctx,
@@ -434,7 +451,7 @@ impl Communicator {
             uid,
             dup,
             crcs,
-            payload: Box::new(data),
+            payload: data,
         };
         if ch.check(gsrc, &site, FaultKind::Reorder) {
             // Stash this packet; it is released *after* the next send on
@@ -488,7 +505,7 @@ impl Communicator {
         deadline: Option<Instant>,
     ) -> Result<Vec<T>, CommError> {
         self.recv_match_deadline_crc(src, tag, deadline)
-            .map(|(v, _)| v)
+            .map(|(v, _)| *v)
     }
 
     /// Like [`Self::recv_match_deadline`] but keeps the ABFT sidecar (if
@@ -498,7 +515,7 @@ impl Communicator {
         src: usize,
         tag: u64,
         deadline: Option<Instant>,
-    ) -> Result<(Vec<T>, Option<Vec<u64>>), CommError> {
+    ) -> Result<(WireBuf<T>, Option<WireBuf<u64>>), CommError> {
         assert!(src < self.size(), "source rank {src} out of range");
         let gsrc = self.members[src];
         let gme = self.members[self.rank];
@@ -604,8 +621,10 @@ impl Communicator {
     /// Verified collective receive: blocks like [`Self::recv_raw`], then
     /// checks the ABFT sidecar (when present) and heals corruption by
     /// bounded retransmission. Panics on unrecoverable errors, like
-    /// `recv_raw` — the typed path is [`Self::recv_coll_deadline`].
-    pub(crate) fn recv_coll<T: crate::AbftData>(&self, src: usize, tag: u64) -> Vec<T> {
+    /// `recv_raw` — the typed path is [`Self::recv_coll_deadline`]. The
+    /// payload arrives in its wire buffer: copy it out, then give the buffer
+    /// back to `shared.wire`.
+    pub(crate) fn recv_coll<T: crate::AbftData>(&self, src: usize, tag: u64) -> WireBuf<T> {
         match self.recv_coll_deadline(src, tag, None) {
             Ok(v) => v,
             Err(e) => panic!("{e}"),
@@ -623,7 +642,7 @@ impl Communicator {
         src: usize,
         tag: u64,
         deadline: Option<Instant>,
-    ) -> Result<Vec<T>, CommError> {
+    ) -> Result<WireBuf<T>, CommError> {
         let (mut data, crcs) = self.recv_match_deadline_crc(src, tag, deadline)?;
         let Some(crcs) = crcs else {
             return Ok(data);
@@ -640,7 +659,13 @@ impl Communicator {
         let mut attempt = 0u32;
         loop {
             let Some(block) = crate::abft::first_corrupt_block(&data, &crcs) else {
-                self.shared.retx.lock().remove(&key);
+                // Verified: the sender's clean copy and the sidecar have
+                // served their purpose — back onto the free-list.
+                let clean = self.shared.retx.lock().remove(&key);
+                if let Some(Ok(clean)) = clean.map(|b| b.downcast::<Vec<T>>()) {
+                    self.shared.wire.give(clean);
+                }
+                self.shared.wire.give(crcs);
                 return Ok(data);
             };
             if let Some(t) = &self.tracer {
@@ -650,16 +675,18 @@ impl Communicator {
                 self.shared.retx.lock().remove(&key);
                 return Err(CommError::Corrupted { rank: src, block });
             }
-            // "Retransmit": take a fresh copy of the sender's clean
-            // payload. A missing or mistyped entry means the store itself
-            // was damaged — treat it as unrecoverable corruption.
-            data = {
+            // "Retransmit": overwrite the payload with a fresh copy of the
+            // sender's clean one. A missing or mistyped entry means the
+            // store itself was damaged — treat it as unrecoverable
+            // corruption.
+            {
                 let retx = self.shared.retx.lock();
                 let Some(clean) = retx.get(&key).and_then(|b| b.downcast_ref::<Vec<T>>()) else {
                     return Err(CommError::Corrupted { rank: src, block });
                 };
-                clean.clone()
-            };
+                data.clear();
+                data.extend_from_slice(clean);
+            }
             if let Some(ch) = &self.shared.chaos {
                 let site = format!("retx:{gsrc}->{gme}");
                 if let Some(k) = ch.check_seq(gme, &site, FaultKind::BitFlip) {
@@ -926,18 +953,19 @@ impl Communicator {
 }
 
 fn downcast<T: Send + 'static>(pkt: Packet, src: usize, tag: u64) -> Result<Vec<T>, CommError> {
-    downcast_crc(pkt, src, tag).map(|(v, _)| v)
+    downcast_crc(pkt, src, tag).map(|(v, _)| *v)
 }
 
+/// The payload stays in its box so collective receivers can recycle it.
 fn downcast_crc<T: Send + 'static>(
     pkt: Packet,
     src: usize,
     tag: u64,
-) -> Result<(Vec<T>, Option<Vec<u64>>), CommError> {
+) -> Result<(WireBuf<T>, Option<WireBuf<u64>>), CommError> {
     let crcs = pkt.crcs;
     pkt.payload
         .downcast::<Vec<T>>()
-        .map(|b| (*b, crcs))
+        .map(|b| (b, crcs))
         .map_err(|_| CommError::TypeMismatch { src, tag })
 }
 

@@ -37,6 +37,7 @@ mod comm;
 mod request;
 mod universe;
 mod verify;
+mod wire;
 
 pub use abft::AbftData;
 pub use comm::{AdaptiveWatchdog, CommError, Communicator};

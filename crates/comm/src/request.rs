@@ -37,19 +37,32 @@ impl<T: crate::AbftData> Request<T> {
         })
     }
 
+    /// Receive every peer's chunk in rank order, hand it to `sink`, and
+    /// give its wire buffer back to the free-list. Chunks consumed before
+    /// an error are spent (as with an MPI request after `MPI_Cancel`).
+    fn drain(
+        &self,
+        deadline: Option<Instant>,
+        mut sink: impl FnMut(usize, &[T]),
+    ) -> Result<(), CommError> {
+        for src in 0..self.comm.size() {
+            let piece = self.comm.recv_coll_deadline::<T>(src, self.tag, deadline)?;
+            debug_assert_eq!(piece.len(), self.chunk);
+            sink(src, &piece);
+            self.comm.shared.wire.give(piece);
+        }
+        Ok(())
+    }
+
     /// Block until the exchange completes; returns the received buffer with
     /// rank `s`'s chunk at positions `[s·chunk, (s+1)·chunk)`.
     pub fn wait(self) -> Vec<T> {
         let _span = self.wait_span();
         // Unbounded by construction — the global analyzer lints this form.
         self.comm.record_wait(self.tag, false);
-        let size = self.comm.size();
-        let mut out = Vec::with_capacity(size * self.chunk);
-        for src in 0..size {
-            let piece = self.comm.recv_coll::<T>(src, self.tag);
-            debug_assert_eq!(piece.len(), self.chunk);
-            out.extend(piece);
-        }
+        let mut out = Vec::with_capacity(self.comm.size() * self.chunk);
+        self.drain(None, |_, piece| out.extend_from_slice(piece))
+            .unwrap_or_else(|e| panic!("{e}"));
         out
     }
 
@@ -62,15 +75,8 @@ impl<T: crate::AbftData> Request<T> {
         let _span = self.wait_span();
         self.comm.record_wait(self.tag, true);
         let deadline = Instant::now() + timeout;
-        let size = self.comm.size();
-        let mut out = Vec::with_capacity(size * self.chunk);
-        for src in 0..size {
-            let piece = self
-                .comm
-                .recv_coll_deadline::<T>(src, self.tag, Some(deadline))?;
-            debug_assert_eq!(piece.len(), self.chunk);
-            out.extend(piece);
-        }
+        let mut out = Vec::with_capacity(self.comm.size() * self.chunk);
+        self.drain(Some(deadline), |_, piece| out.extend_from_slice(piece))?;
         Ok(out)
     }
 
@@ -101,13 +107,16 @@ impl<T: crate::AbftData> Request<T> {
     pub fn wait_into(self, out: &mut [T]) {
         let _span = self.wait_span();
         self.comm.record_wait(self.tag, false);
-        let size = self.comm.size();
-        assert_eq!(out.len(), size * self.chunk, "output buffer size mismatch");
-        for src in 0..size {
-            let piece = self.comm.recv_coll::<T>(src, self.tag);
-            debug_assert_eq!(piece.len(), self.chunk);
-            out[src * self.chunk..(src + 1) * self.chunk].clone_from_slice(&piece);
-        }
+        let chunk = self.chunk;
+        assert_eq!(
+            out.len(),
+            self.comm.size() * chunk,
+            "output buffer size mismatch"
+        );
+        self.drain(None, |src, piece| {
+            out[src * chunk..(src + 1) * chunk].clone_from_slice(piece)
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Non-blocking completion check: returns `Ok(data)` if every peer's

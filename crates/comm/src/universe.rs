@@ -28,7 +28,7 @@ pub(crate) struct Packet {
     /// ABFT sidecar: one FNV-1a checksum per payload block, computed by the
     /// sender *before* any in-transit corruption can occur. `None` on
     /// unchecksummed traffic (point-to-point, non-ABFT collectives).
-    pub crcs: Option<Vec<u64>>,
+    pub crcs: Option<crate::wire::WireBuf<u64>>,
     /// The payload, a `Vec<T>` behind `Any`.
     pub payload: Box<dyn Any + Send>,
 }
@@ -86,6 +86,9 @@ pub(crate) struct Shared {
     /// The receiver removes the entry once the checksums verify; a mismatch
     /// pulls a fresh copy from here (the bounded "resend").
     pub retx: Mutex<RetxStore>,
+    /// Free-list of collective wire buffers (payloads, ABFT clean copies and
+    /// sidecars), so a steady-state exchange allocates nothing.
+    pub wire: crate::wire::WirePool,
 }
 
 /// Key: `(ctx, tag, gsrc, gdst)`; value: the sender's clean payload.
@@ -140,6 +143,7 @@ impl Shared {
             departed: Mutex::new(BTreeMap::new()),
             revoked: Mutex::new(HashSet::new()),
             retx: Mutex::new(HashMap::new()),
+            wire: Default::default(),
         })
     }
 

@@ -13,14 +13,16 @@
 //! `psdns_device::HostBackend` device instead of switching algorithms.
 
 use psdns_comm::Communicator;
-use psdns_domain::transpose::{apply_chunks, SlabTranspose};
+use psdns_domain::transpose::{apply_chunk_iter, SlabTranspose};
 use psdns_fft::{Complex, Direction, ManyPlan, ManyRealPlan, Real};
 use psdns_trace::SpanKind;
 
 use crate::field::{LocalShape, PhysicalField, SpectralField, Transform3d};
 
-/// Host implementation of the slab transform. Holds FFT plans and scratch so
-/// repeated calls allocate only the send/receive buffers.
+/// Host implementation of the slab transform. Holds FFT plans and every
+/// work buffer, so repeated calls allocate nothing (the buffers grow to the
+/// largest `nv` seen, then stay). No buffer is cleared between calls: each
+/// is fully overwritten before it is read.
 pub struct SlabFftCpu<T: Real> {
     shape: LocalShape,
     comm: Communicator,
@@ -31,9 +33,14 @@ pub struct SlabFftCpu<T: Real> {
     /// half-spectrum lines of length `nxh`.
     plan_x: ManyRealPlan<T>,
     scratch: Vec<Complex<T>>,
-    /// Reusable per-call workspaces (sized on first use, then steady-state
-    /// reuse: repeated transforms perform no send/slab allocations).
+    /// One z-plane (`nxh·n`, cache-sized): the inverse y-transform runs here
+    /// and the plane is packed straight out, so the input slab is never
+    /// copied as a whole.
+    plane: Vec<Complex<T>>,
+    /// All-to-all buffers, `nv` variables wide.
     send: Vec<Complex<T>>,
+    recv: Vec<Complex<T>>,
+    /// One variable's y-slab.
     yslab: Vec<Complex<T>>,
     /// Within-rank worker threads for the batched 1-D FFTs — the paper's
     /// hybrid MPI+OpenMP layer (§3.1: "a hybrid approach to further
@@ -71,20 +78,13 @@ impl<T: Real> SlabFftCpu<T> {
             plan_z,
             plan_x,
             scratch: vec![Complex::zero(); scratch_len],
+            plane: vec![Complex::zero(); nxh * n],
             send: Vec::new(),
-            yslab: Vec::new(),
+            recv: Vec::new(),
+            yslab: vec![Complex::zero(); nxh * my * n],
             threads: 1,
             scan_nonfinite: false,
             nonfinite_count: 0,
-        }
-    }
-
-    /// Seeded corruption injection plus (when armed) the fused non-finite
-    /// scan, applied to a packed send buffer on its way into an all-to-all.
-    fn stage_send(&mut self, class: &str, send: &mut [Complex<T>]) {
-        crate::integrity::inject_buf_flip(&self.comm, class, send);
-        if self.scan_nonfinite {
-            self.nonfinite_count += crate::integrity::count_nonfinite_buf(send);
         }
     }
 
@@ -100,31 +100,47 @@ impl<T: Real> SlabFftCpu<T> {
         &self.comm
     }
 
-    fn transpose_map(&self, nv: usize) -> SlabTranspose {
-        SlabTranspose::new(self.shape.slab(), self.shape.nxh, nv)
+    /// Grow the all-to-all buffers to `nv` variables (first call at that
+    /// width only) and return the transpose map.
+    fn transpose_map(&mut self, nv: usize) -> SlabTranspose {
+        let t = SlabTranspose::new(self.shape.slab(), self.shape.nxh, nv);
+        if self.send.len() < t.buf_len() {
+            self.send.resize(t.buf_len(), Complex::zero());
+            self.recv.resize(t.buf_len(), Complex::zero());
+        }
+        t
     }
 
-    /// In-place inverse y transform over the whole z-slab buffer.
-    fn y_transform(&mut self, buf: &mut [Complex<T>], dir: Direction) {
-        let plane = self.shape.nxh * self.shape.n;
-        for zl in 0..self.shape.mz {
-            let slice = &mut buf[zl * plane..(zl + 1) * plane];
-            if self.threads > 1 {
-                self.plan_y.execute_parallel(slice, dir, self.threads);
-            } else {
-                self.plan_y
-                    .execute_with_scratch(slice, &mut self.scratch, dir);
-            }
+    /// The packed send buffer's way through the transpose: seeded corruption
+    /// injection, the fused non-finite scan when armed, then one all-to-all
+    /// for all `nv` variables into `recv`.
+    fn exchange(&mut self, class: &str, len: usize) {
+        let send = &mut self.send[..len];
+        crate::integrity::inject_buf_flip(&self.comm, class, send);
+        if self.scan_nonfinite {
+            self.nonfinite_count += crate::integrity::count_nonfinite_buf(send);
+        }
+        self.comm.alltoall_into(send, &mut self.recv[..len]);
+    }
+
+    /// In-place y transform of one z-plane.
+    fn y_transform(&mut self, plane: &mut [Complex<T>], dir: Direction) {
+        if self.threads > 1 {
+            self.plan_y.execute_parallel(plane, dir, self.threads);
+        } else {
+            self.plan_y
+                .execute_with_scratch(plane, &mut self.scratch, dir);
         }
     }
 
     /// In-place z transform over the whole y-slab buffer.
-    fn z_transform(&mut self, buf: &mut [Complex<T>], dir: Direction) {
+    fn z_transform(&mut self, dir: Direction) {
         if self.threads > 1 {
-            self.plan_z.execute_parallel(buf, dir, self.threads);
+            self.plan_z
+                .execute_parallel(&mut self.yslab, dir, self.threads);
         } else {
             self.plan_z
-                .execute_with_scratch(buf, &mut self.scratch, dir);
+                .execute_with_scratch(&mut self.yslab, &mut self.scratch, dir);
         }
     }
 }
@@ -146,79 +162,75 @@ impl<T: Real> Transform3d<T> for SlabFftCpu<T> {
         std::mem::take(&mut self.nonfinite_count)
     }
 
-    fn fourier_to_physical(&mut self, specs: &[SpectralField<T>]) -> Vec<PhysicalField<T>> {
+    fn fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) {
         let nv = specs.len();
         assert!(nv > 0);
+        assert_eq!(out.len(), nv, "one output field per input");
         let s = self.shape;
         let t = self.transpose_map(nv);
         let tracer = self.comm.tracer().cloned();
 
-        // 1. y-inverse on a working copy of each z-slab.
+        // 1. y-inverse a z-plane at a time, packed straight into the send
+        //    buffer (one all-to-all for all nv variables).
         let span = tracer
             .as_ref()
-            .map(|tr| tr.span(SpanKind::FftCompute, "cpu", "fft-y-inverse"));
-        let mut work: Vec<Vec<Complex<T>>> = specs
-            .iter()
-            .map(|f| {
-                assert_eq!(f.shape, s, "field shape mismatch");
-                f.data.clone()
-            })
-            .collect();
-        for w in &mut work {
-            self.y_transform(w, Direction::Inverse);
-        }
-        drop(span);
-
-        // 2. Pack and transpose (one all-to-all for all nv variables).
-        let span = tracer
-            .as_ref()
-            .map(|tr| tr.span(SpanKind::PackUnpack, "cpu", "pack-zslab"));
-        let mut send = std::mem::take(&mut self.send);
-        send.clear();
-        send.resize(t.buf_len(), Complex::zero());
-        for d in 0..s.p {
-            for (v, w) in work.iter().enumerate() {
-                apply_chunks(&t.pack_from_zslab(d, v, 0..s.nxh), w, &mut send);
+            .map(|tr| tr.span(SpanKind::FftCompute, "cpu", "fft-y-inverse+pack-zslab"));
+        let row = s.nxh;
+        let mut plane = std::mem::take(&mut self.plane);
+        for (v, f) in specs.iter().enumerate() {
+            assert_eq!(f.shape, s, "field shape mismatch");
+            for (zl, src) in f.data.chunks_exact(plane.len()).enumerate() {
+                plane.copy_from_slice(src);
+                self.y_transform(&mut plane, Direction::Inverse);
+                for (y, line) in plane.chunks_exact(row).enumerate() {
+                    let dst = t.zslab_row_dst(v, y, zl);
+                    self.send[dst..dst + row].copy_from_slice(line);
+                }
             }
         }
+        self.plane = plane;
         drop(span);
-        self.stage_send("z2y", &mut send);
-        let recv = self.comm.alltoall(&send);
-        self.send = send; // park for reuse
+        self.exchange("z2y", t.buf_len());
 
-        // 3. Unpack to y-slabs, z-inverse, then x complex-to-real.
+        // 2. Unpack to y-slabs, z-inverse, then x complex-to-real.
         let span = tracer
             .as_ref()
             .map(|tr| tr.span(SpanKind::FftCompute, "cpu", "fft-z-inverse+x-c2r"));
-        let mut out = Vec::with_capacity(nv);
-        let mut yslab = std::mem::take(&mut self.yslab);
-        yslab.clear();
-        yslab.resize(t.yslab_len(), Complex::zero());
-        for v in 0..nv {
+        for (v, phys) in out.iter_mut().enumerate() {
+            assert_eq!(phys.shape, s, "field shape mismatch");
             for src in 0..s.p {
-                apply_chunks(&t.unpack_to_yslab(src, v, 0..s.my), &recv, &mut yslab);
+                apply_chunk_iter(
+                    t.unpack_to_yslab_iter(src, v, 0..s.my),
+                    &self.recv,
+                    &mut self.yslab,
+                );
             }
-            self.z_transform(&mut yslab, Direction::Inverse);
-            let mut phys = PhysicalField::zeros(s);
+            self.z_transform(Direction::Inverse);
             // Batched x c2r: every (yl, z) line of the slab in one call,
             // written in place into the physical field.
             if self.threads > 1 {
                 self.plan_x
-                    .inverse_parallel(&yslab, &mut phys.data, self.threads);
+                    .inverse_parallel(&self.yslab, &mut phys.data, self.threads);
             } else {
                 self.plan_x
-                    .inverse_with_scratch(&yslab, &mut phys.data, &mut self.scratch);
+                    .inverse_with_scratch(&self.yslab, &mut phys.data, &mut self.scratch);
             }
-            out.push(phys);
         }
-        self.yslab = yslab;
         drop(span);
-        out
     }
 
-    fn physical_to_fourier(&mut self, phys: &[PhysicalField<T>]) -> Vec<SpectralField<T>> {
+    fn physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) {
         let nv = phys.len();
         assert!(nv > 0);
+        assert_eq!(out.len(), nv, "one output field per input");
         let s = self.shape;
         let t = self.transpose_map(nv);
         let tracer = self.comm.tracer().cloned();
@@ -227,52 +239,59 @@ impl<T: Real> Transform3d<T> for SlabFftCpu<T> {
         let span = tracer
             .as_ref()
             .map(|tr| tr.span(SpanKind::FftCompute, "cpu", "fft-x-r2c+z-forward"));
-        let mut send = std::mem::take(&mut self.send);
-        send.clear();
-        send.resize(t.buf_len(), Complex::zero());
-        let mut yslab = std::mem::take(&mut self.yslab);
-        yslab.clear();
-        yslab.resize(t.yslab_len(), Complex::zero());
         for (v, f) in phys.iter().enumerate() {
             assert_eq!(f.shape, s, "field shape mismatch");
             // Batched x r2c: the whole physical slab into the y-slab's
             // half-spectrum lines in one call.
             if self.threads > 1 {
                 self.plan_x
-                    .forward_parallel(&f.data, &mut yslab, self.threads);
+                    .forward_parallel(&f.data, &mut self.yslab, self.threads);
             } else {
                 self.plan_x
-                    .forward_with_scratch(&f.data, &mut yslab, &mut self.scratch);
+                    .forward_with_scratch(&f.data, &mut self.yslab, &mut self.scratch);
             }
-            self.z_transform(&mut yslab, Direction::Forward);
+            self.z_transform(Direction::Forward);
             for d in 0..s.p {
-                apply_chunks(&t.pack_from_yslab(d, v, 0..s.my), &yslab, &mut send);
+                apply_chunk_iter(
+                    t.pack_from_yslab_iter(d, v, 0..s.my),
+                    &self.yslab,
+                    &mut self.send,
+                );
             }
         }
-
         drop(span);
 
         // 2. Transpose back.
-        self.stage_send("y2z", &mut send);
-        let recv = self.comm.alltoall(&send);
-        self.send = send;
-        self.yslab = yslab;
+        self.exchange("y2z", t.buf_len());
 
-        // 3. Unpack to z-slabs and y-forward.
+        // 3. Unpack straight into the output z-slabs and y-forward there.
         let span = tracer
             .as_ref()
             .map(|tr| tr.span(SpanKind::FftCompute, "cpu", "unpack+fft-y-forward"));
-        let mut out = Vec::with_capacity(nv);
-        for v in 0..nv {
-            let mut zslab = vec![Complex::<T>::zero(); t.zslab_len()];
+        let plane = s.nxh * s.n;
+        for (v, spec) in out.iter_mut().enumerate() {
+            assert_eq!(spec.shape, s, "field shape mismatch");
             for src in 0..s.p {
-                apply_chunks(&t.unpack_to_zslab(src, v, 0..s.nxh), &recv, &mut zslab);
+                apply_chunk_iter(
+                    t.unpack_to_zslab_iter(src, v, 0..s.nxh),
+                    &self.recv,
+                    &mut spec.data,
+                );
             }
-            self.y_transform(&mut zslab, Direction::Forward);
-            out.push(SpectralField::from_data(s, zslab));
+            for zplane in spec.data.chunks_exact_mut(plane) {
+                self.y_transform(zplane, Direction::Forward);
+            }
         }
         drop(span);
-        out
+    }
+
+    fn cross_product_into(
+        &mut self,
+        up: &[PhysicalField<T>],
+        wp: &[PhysicalField<T>],
+        out: &mut [PhysicalField<T>; 3],
+    ) {
+        crate::field::host_cross_product_into(&self.comm, up, wp, out);
     }
 }
 

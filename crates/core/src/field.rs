@@ -160,13 +160,23 @@ impl<T: Real> PhysicalField<T> {
 
 /// A distributed 3-D transform backend. Implementations: [`crate::SlabFftCpu`]
 /// (host), [`crate::GpuSyncSlabFft`] (Fig. 2), [`crate::GpuSlabFft`]
-/// (Fig. 4 async), [`crate::PencilFftCpu`] (2-D decomposition baseline).
+/// (Fig. 4 async).
 ///
 /// Conventions: `fourier_to_physical` applies inverse transforms carrying
 /// the full `1/N³`; `physical_to_fourier` is unnormalized. The pair is an
 /// exact round trip, and stored spectral coefficients are `N³ ×` the
 /// mathematical Fourier-series coefficients (a pure convention that cancels
 /// throughout the solver).
+///
+/// # Implementing the three operations
+///
+/// Each of the two transforms and the cross product exists in two forms: an
+/// `_into` form that writes caller-owned fields (what the solver's
+/// steady-state step calls — it allocates nothing) and a form that returns
+/// fresh fields. Both are *provided*, each in terms of the other, so a
+/// backend implements **one** of the pair — the `_into` side, for every
+/// in-tree backend — and gets the other for free. Implementing neither
+/// recurses without end.
 pub trait Transform3d<T: Real> {
     fn shape(&self) -> LocalShape;
 
@@ -206,38 +216,106 @@ pub trait Transform3d<T: Real> {
 
     /// Transform `nv` spectral fields to physical space together (the paper
     /// moves 3 variables per all-to-all; one call = one logical transpose).
-    fn fourier_to_physical(&mut self, specs: &[SpectralField<T>]) -> Vec<PhysicalField<T>>;
+    fn fourier_to_physical(&mut self, specs: &[SpectralField<T>]) -> Vec<PhysicalField<T>> {
+        let s = self.shape();
+        let mut out: Vec<_> = specs.iter().map(|_| PhysicalField::zeros(s)).collect();
+        self.fourier_to_physical_into(specs, &mut out);
+        out
+    }
+
+    /// [`Self::fourier_to_physical`] into `out` (one field per input, every
+    /// element overwritten).
+    fn fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) {
+        assert_eq!(out.len(), specs.len(), "one output field per input");
+        for (o, f) in out.iter_mut().zip(self.fourier_to_physical(specs)) {
+            *o = f;
+        }
+    }
 
     /// Transform `nv` physical fields to Fourier space together.
-    fn physical_to_fourier(&mut self, phys: &[PhysicalField<T>]) -> Vec<SpectralField<T>>;
+    fn physical_to_fourier(&mut self, phys: &[PhysicalField<T>]) -> Vec<SpectralField<T>> {
+        let s = self.shape();
+        let mut out: Vec<_> = phys.iter().map(|_| SpectralField::zeros(s)).collect();
+        self.physical_to_fourier_into(phys, &mut out);
+        out
+    }
+
+    /// [`Self::physical_to_fourier`] into `out` (one field per input, every
+    /// element overwritten).
+    fn physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) {
+        assert_eq!(out.len(), phys.len(), "one output field per input");
+        for (o, f) in out.iter_mut().zip(self.physical_to_fourier(phys)) {
+            *o = f;
+        }
+    }
 
     /// Pointwise cross product `u × ω` in physical space — the nonlinear
-    /// products of the pseudo-spectral method. The default runs on the
-    /// host; accelerator backends override it to form the products on the
-    /// device, as the paper's code does ("other computations such as
-    /// forming non-linear products in the DNS code", Fig. 4 caption).
+    /// products of the pseudo-spectral method. Host backends form it on the
+    /// CPU; accelerator backends form the products on the device, as the
+    /// paper's code does ("other computations such as forming non-linear
+    /// products in the DNS code", Fig. 4 caption).
     fn cross_product(
         &mut self,
         up: &[PhysicalField<T>],
         wp: &[PhysicalField<T>],
     ) -> [PhysicalField<T>; 3] {
         let s = self.shape();
-        assert_eq!(up.len(), 3);
-        assert_eq!(wp.len(), 3);
         let mut nl = [
             PhysicalField::zeros(s),
             PhysicalField::zeros(s),
             PhysicalField::zeros(s),
         ];
-        for i in 0..s.phys_len() {
-            let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
-            let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
-            nl[0].data[i] = u1 * w2 - u2 * w1;
-            nl[1].data[i] = u2 * w0 - u0 * w2;
-            nl[2].data[i] = u0 * w1 - u1 * w0;
-        }
-        crate::integrity::inject_kernel_corrupt(self.comm(), "cross", &mut nl);
+        self.cross_product_into(up, wp, &mut nl);
         nl
+    }
+
+    /// [`Self::cross_product`] into `out` (every element overwritten).
+    fn cross_product_into(
+        &mut self,
+        up: &[PhysicalField<T>],
+        wp: &[PhysicalField<T>],
+        out: &mut [PhysicalField<T>; 3],
+    ) {
+        *out = self.cross_product(up, wp);
+    }
+}
+
+/// The cross product `u × ω` on the host, with the seeded kernel-SEU
+/// injection site `kernel:cross` — the `cross_product_into` of every backend
+/// that has no device to form it on.
+pub(crate) fn host_cross_product_into<T: Real>(
+    comm: &psdns_comm::Communicator,
+    up: &[PhysicalField<T>],
+    wp: &[PhysicalField<T>],
+    out: &mut [PhysicalField<T>; 3],
+) {
+    cross_product_kernel(up, wp, out);
+    crate::integrity::inject_kernel_corrupt(comm, "cross", out);
+}
+
+/// `out = u × ω`, pointwise; no injection site.
+pub(crate) fn cross_product_kernel<T: Real>(
+    up: &[PhysicalField<T>],
+    wp: &[PhysicalField<T>],
+    out: &mut [PhysicalField<T>; 3],
+) {
+    assert_eq!(up.len(), 3);
+    assert_eq!(wp.len(), 3);
+    let [o0, o1, o2] = out;
+    for i in 0..o0.data.len() {
+        let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
+        let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
+        o0.data[i] = u1 * w2 - u2 * w1;
+        o1.data[i] = u2 * w0 - u0 * w2;
+        o2.data[i] = u0 * w1 - u1 * w0;
     }
 }
 

@@ -46,7 +46,7 @@ use psdns_fft::{Complex, Direction, ManyPlan, ManyRealPlan, Real};
 use psdns_sync::Mutex;
 
 use crate::error::{Error, PipelineError};
-use crate::field::{LocalShape, PhysicalField, SpectralField, Transform3d};
+use crate::field::{cross_product_kernel, LocalShape, PhysicalField, SpectralField, Transform3d};
 
 /// Triple buffering, as budgeted in paper §3.5 (9 buffers × 3).
 const SLOTS: usize = 3;
@@ -958,17 +958,41 @@ impl<T: Real> GpuSlabFft<T> {
         &mut self,
         specs: &[SpectralField<T>],
     ) -> Result<Vec<PhysicalField<T>>, Error> {
-        let device = self.device_fourier_to_physical(specs);
-        self.finish_call("fourier_to_physical", device, |host| {
-            host.try_fourier_to_physical(specs)
-        })
+        let s = self.shape;
+        let mut out: Vec<_> = specs.iter().map(|_| PhysicalField::zeros(s)).collect();
+        self.try_fourier_to_physical_into(specs, &mut out)?;
+        Ok(out)
     }
 
-    /// The device-pipeline body of [`Self::try_fourier_to_physical`].
+    /// [`Self::try_fourier_to_physical`] into caller-owned fields. `out` is
+    /// written only after the end-of-call vote has accepted a result, by
+    /// unstaging the winning pipeline's pinned output buffer directly into
+    /// it — on `Err` it is untouched.
+    pub fn try_fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) -> Result<(), Error> {
+        assert_eq!(out.len(), specs.len(), "one output field per input");
+        let device = self.device_fourier_to_physical(specs);
+        // The host twin has no fallback of its own, so its device body *is*
+        // its whole call.
+        let staged = self.finish_call("fourier_to_physical", device, |host| {
+            host.device_fourier_to_physical(specs)
+        })?;
+        let plen = self.shape.phys_len();
+        for (f, flat) in out.iter_mut().zip(staged.lock().chunks_exact(plen)) {
+            f.data.copy_from_slice(flat);
+        }
+        Ok(())
+    }
+
+    /// The device-pipeline body of [`Self::try_fourier_to_physical_into`]:
+    /// returns the pinned staging buffer holding all `nv` physical fields.
     fn device_fourier_to_physical(
         &mut self,
         specs: &[SpectralField<T>],
-    ) -> Result<Vec<PhysicalField<T>>, Error> {
+    ) -> Result<PinnedBuffer<T>, Error> {
         let nv = specs.len();
         assert!(nv > 0);
         let _call = self.comm.tracer().map(|t| {
@@ -988,7 +1012,7 @@ impl<T: Real> GpuSlabFft<T> {
             // Device memory exhausted (or a device already condemned)
             // somewhere: every rank degrades to the host-backend pipeline
             // for this call (graceful degradation).
-            None => return self.host_backend().try_fourier_to_physical(specs),
+            None => return self.host_backend().device_fourier_to_physical(specs),
         };
         let mut guard = CallGuard::new(gpus);
 
@@ -1322,11 +1346,13 @@ impl<T: Real> GpuSlabFft<T> {
                 host_phys.len(),
             )],
         );
-        let flat = host_phys.snapshot();
-        self.scan_unstaged(flat.iter().filter(|v| !v.to_f64().is_finite()).count() as u64)?;
-        Ok((0..nv)
-            .map(|v| PhysicalField::from_data(s, flat[v * plen..(v + 1) * plen].to_vec()))
-            .collect())
+        let nonfinite = host_phys
+            .lock()
+            .iter()
+            .filter(|v| !v.to_f64().is_finite())
+            .count();
+        self.scan_unstaged(nonfinite as u64)?;
+        Ok(host_phys)
     }
 
     /// Join the group's staging events and post its all-to-all.
@@ -1403,17 +1429,38 @@ impl<T: Real> GpuSlabFft<T> {
         &mut self,
         phys: &[PhysicalField<T>],
     ) -> Result<Vec<SpectralField<T>>, Error> {
-        let device = self.device_physical_to_fourier(phys);
-        self.finish_call("physical_to_fourier", device, |host| {
-            host.try_physical_to_fourier(phys)
-        })
+        let s = self.shape;
+        let mut out: Vec<_> = phys.iter().map(|_| SpectralField::zeros(s)).collect();
+        self.try_physical_to_fourier_into(phys, &mut out)?;
+        Ok(out)
     }
 
-    /// The device-pipeline body of [`Self::try_physical_to_fourier`].
+    /// [`Self::try_physical_to_fourier`] into caller-owned fields; same
+    /// write-after-the-vote contract as
+    /// [`try_fourier_to_physical_into`](Self::try_fourier_to_physical_into).
+    pub fn try_physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) -> Result<(), Error> {
+        assert_eq!(out.len(), phys.len(), "one output field per input");
+        let device = self.device_physical_to_fourier(phys);
+        let staged = self.finish_call("physical_to_fourier", device, |host| {
+            host.device_physical_to_fourier(phys)
+        })?;
+        let zlen = self.shape.spec_len();
+        for (f, flat) in out.iter_mut().zip(staged.lock().chunks_exact(zlen)) {
+            f.data.copy_from_slice(flat);
+        }
+        Ok(())
+    }
+
+    /// The device-pipeline body of [`Self::try_physical_to_fourier_into`]:
+    /// returns the pinned staging buffer holding all `nv` spectral fields.
     fn device_physical_to_fourier(
         &mut self,
         phys: &[PhysicalField<T>],
-    ) -> Result<Vec<SpectralField<T>>, Error> {
+    ) -> Result<PinnedBuffer<Complex<T>>, Error> {
         let nv = phys.len();
         assert!(nv > 0);
         let _call = self.comm.tracer().map(|t| {
@@ -1430,7 +1477,7 @@ impl<T: Real> GpuSlabFft<T> {
         let plen = s.phys_len();
         let bufs = match self.acquire_call_buffers(nv)? {
             Some(bufs) => bufs,
-            None => return self.host_backend().try_physical_to_fourier(phys),
+            None => return self.host_backend().device_physical_to_fourier(phys),
         };
         let mut guard = CallGuard::new(gpus);
 
@@ -1747,11 +1794,9 @@ impl<T: Real> GpuSlabFft<T> {
                 host_spec.len(),
             )],
         );
-        let flat = host_spec.snapshot();
-        self.scan_unstaged(crate::integrity::count_nonfinite_buf(&flat))?;
-        Ok((0..nv)
-            .map(|v| SpectralField::from_data(s, flat[v * zlen..(v + 1) * zlen].to_vec()))
-            .collect())
+        let nonfinite = crate::integrity::count_nonfinite_buf(&host_spec.lock());
+        self.scan_unstaged(nonfinite)?;
+        Ok(host_spec)
     }
 }
 
@@ -1777,34 +1822,41 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
         }
     }
 
-    fn fourier_to_physical(&mut self, specs: &[SpectralField<T>]) -> Vec<PhysicalField<T>> {
-        match self.try_fourier_to_physical(specs) {
-            Ok(v) => v,
-            Err(e) => panic!(
+    fn fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) {
+        if let Err(e) = self.try_fourier_to_physical_into(specs, out) {
+            panic!(
                 "GpuSlabFft fourier_to_physical failed: {e} \
                  (increase np, see GpuSlabFft::auto_np, or enable cpu_fallback)"
-            ),
+            );
         }
     }
 
-    fn physical_to_fourier(&mut self, phys: &[PhysicalField<T>]) -> Vec<SpectralField<T>> {
-        match self.try_physical_to_fourier(phys) {
-            Ok(v) => v,
-            Err(e) => panic!(
+    fn physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) {
+        if let Err(e) = self.try_physical_to_fourier_into(phys, out) {
+            panic!(
                 "GpuSlabFft physical_to_fourier failed: {e} \
                  (increase np, see GpuSlabFft::auto_np, or enable cpu_fallback)"
-            ),
+            );
         }
     }
 
     /// Form the nonlinear products on the device, streamed in out-of-core
     /// chunks through the transfer/compute streams — the paper's "forming
     /// non-linear products in the DNS code" happens on the GPU (Fig. 4).
-    fn cross_product(
+    fn cross_product_into(
         &mut self,
         up: &[PhysicalField<T>],
         wp: &[PhysicalField<T>],
-    ) -> [PhysicalField<T>; 3] {
+        out: &mut [PhysicalField<T>; 3],
+    ) {
         let s = self.shape;
         assert_eq!(up.len(), 3);
         assert_eq!(wp.len(), 3);
@@ -1844,8 +1896,8 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
             Ok(b) => b,
             Err(_) => {
                 // Not enough device memory even for chunked pointwise
-                // work: fall back to the host default.
-                return host_cross_product(s, up, wp);
+                // work: form the products on the host.
+                return cross_product_kernel(up, wp, out);
             }
         };
         if let Some(log) = &self.recorder {
@@ -1915,10 +1967,10 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
         // stale — as does a backend shut down under our feet; recompute on
         // the host rather than return silent garbage.
         if tstream.synchronize().is_err() || cstream.synchronize().is_err() {
-            return host_cross_product(s, up, wp);
+            return cross_product_kernel(up, wp, out);
         }
         if dev.take_error().is_some() {
-            return host_cross_product(s, up, wp);
+            return cross_product_kernel(up, wp, out);
         }
 
         self.log_host_op(
@@ -1930,37 +1982,11 @@ impl<T: Real> Transform3d<T> for GpuSlabFft<T> {
                 host_out.len(),
             )],
         );
-        let flat = host_out.snapshot();
-        let mut nl = [
-            PhysicalField::from_data(s, flat[..plen].to_vec()),
-            PhysicalField::from_data(s, flat[plen..2 * plen].to_vec()),
-            PhysicalField::from_data(s, flat[2 * plen..].to_vec()),
-        ];
-        crate::integrity::inject_kernel_corrupt(&self.comm, "cross", &mut nl);
-        nl
+        for (f, flat) in out.iter_mut().zip(host_out.lock().chunks_exact(plen)) {
+            f.data.copy_from_slice(flat);
+        }
+        crate::integrity::inject_kernel_corrupt(&self.comm, "cross", out);
     }
-}
-
-/// Host fallback shared with the trait default (kept separate so the device
-/// path can bail out on OOM without recursion).
-fn host_cross_product<T: Real>(
-    s: LocalShape,
-    up: &[PhysicalField<T>],
-    wp: &[PhysicalField<T>],
-) -> [PhysicalField<T>; 3] {
-    let mut nl = [
-        PhysicalField::zeros(s),
-        PhysicalField::zeros(s),
-        PhysicalField::zeros(s),
-    ];
-    for i in 0..s.phys_len() {
-        let (u0, u1, u2) = (up[0].data[i], up[1].data[i], up[2].data[i]);
-        let (w0, w1, w2) = (wp[0].data[i], wp[1].data[i], wp[2].data[i]);
-        nl[0].data[i] = u1 * w2 - u2 * w1;
-        nl[1].data[i] = u2 * w0 - u0 * w2;
-        nl[2].data[i] = u0 * w1 - u1 * w0;
-    }
-    nl
 }
 
 #[cfg(test)]

@@ -79,8 +79,22 @@ impl<T: Real> GpuSyncSlabFft<T> {
         &mut self,
         specs: &[SpectralField<T>],
     ) -> Result<Vec<PhysicalField<T>>, Error> {
+        let s = self.shape;
+        let mut out: Vec<_> = specs.iter().map(|_| PhysicalField::zeros(s)).collect();
+        self.try_fourier_to_physical_into(specs, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::try_fourier_to_physical`] into caller-owned fields, which are
+    /// written only once the whole transform has succeeded.
+    pub fn try_fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) -> Result<(), Error> {
         let nv = specs.len();
         assert!(nv > 0);
+        assert_eq!(out.len(), nv, "one output field per input");
         let s = self.shape;
         let t = SlabTranspose::new(s.slab(), s.nxh, nv);
         let (zlen, ylen, plen) = (t.zslab_len(), t.yslab_len(), s.phys_len());
@@ -202,10 +216,11 @@ impl<T: Real> GpuSyncSlabFft<T> {
             .memcpy_d2h_async(&dev_phys, 0, &host_phys, 0, nv * plen);
         self.stream.synchronize()?;
 
-        let flat = host_phys.snapshot();
-        Ok((0..nv)
-            .map(|v| PhysicalField::from_data(s, flat[v * plen..(v + 1) * plen].to_vec()))
-            .collect())
+        let flat = host_phys.lock();
+        for (f, staged) in out.iter_mut().zip(flat.chunks_exact(plen)) {
+            f.data.copy_from_slice(staged);
+        }
+        Ok(())
     }
 
     /// Fallible inverse direction.
@@ -213,8 +228,22 @@ impl<T: Real> GpuSyncSlabFft<T> {
         &mut self,
         phys: &[PhysicalField<T>],
     ) -> Result<Vec<SpectralField<T>>, Error> {
+        let s = self.shape;
+        let mut out: Vec<_> = phys.iter().map(|_| SpectralField::zeros(s)).collect();
+        self.try_physical_to_fourier_into(phys, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::try_physical_to_fourier`] into caller-owned fields, which are
+    /// written only once the whole transform has succeeded.
+    pub fn try_physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) -> Result<(), Error> {
         let nv = phys.len();
         assert!(nv > 0);
+        assert_eq!(out.len(), nv, "one output field per input");
         let s = self.shape;
         let t = SlabTranspose::new(s.slab(), s.nxh, nv);
         let (zlen, ylen, plen) = (t.zslab_len(), t.yslab_len(), s.phys_len());
@@ -329,10 +358,11 @@ impl<T: Real> GpuSyncSlabFft<T> {
             .memcpy_d2h_async(&dev_spec, 0, &host_spec, 0, nv * zlen);
         self.stream.synchronize()?;
 
-        let flat = host_spec.snapshot();
-        Ok((0..nv)
-            .map(|v| SpectralField::from_data(s, flat[v * zlen..(v + 1) * zlen].to_vec()))
-            .collect())
+        let flat = host_spec.lock();
+        for (f, staged) in out.iter_mut().zip(flat.chunks_exact(zlen)) {
+            f.data.copy_from_slice(staged);
+        }
+        Ok(())
     }
 }
 
@@ -353,14 +383,31 @@ impl<T: Real> Transform3d<T> for GpuSyncSlabFft<T> {
         std::mem::take(&mut self.nonfinite_count)
     }
 
-    fn fourier_to_physical(&mut self, specs: &[SpectralField<T>]) -> Vec<PhysicalField<T>> {
-        self.try_fourier_to_physical(specs)
+    fn fourier_to_physical_into(
+        &mut self,
+        specs: &[SpectralField<T>],
+        out: &mut [PhysicalField<T>],
+    ) {
+        self.try_fourier_to_physical_into(specs, out)
             .expect("slab does not fit in device memory — use GpuSlabFft (batched)")
     }
 
-    fn physical_to_fourier(&mut self, phys: &[PhysicalField<T>]) -> Vec<SpectralField<T>> {
-        self.try_physical_to_fourier(phys)
+    fn physical_to_fourier_into(
+        &mut self,
+        phys: &[PhysicalField<T>],
+        out: &mut [SpectralField<T>],
+    ) {
+        self.try_physical_to_fourier_into(phys, out)
             .expect("slab does not fit in device memory — use GpuSlabFft (batched)")
+    }
+
+    fn cross_product_into(
+        &mut self,
+        up: &[PhysicalField<T>],
+        wp: &[PhysicalField<T>],
+        out: &mut [PhysicalField<T>; 3],
+    ) {
+        crate::field::host_cross_product_into(&self.comm, up, wp, out);
     }
 }
 

@@ -10,11 +10,17 @@
 //! The nonlinear term uses the rotational form `u × ω` with
 //! `ω̂ = i k × û` computed spectrally — 6 inverse + 3 forward 3-D transforms
 //! per substage, the same transform count as the paper's scheme.
+//!
+//! Like the paper's code (§3.3–3.4: buffers allocated once, pencils streamed
+//! through them), a step allocates nothing: every field it touches lives in
+//! a solver-owned [`NsWorkspace`] sized in [`NavierStokes::new`], the
+//! backend writes its transforms into it ([`Transform3d`]'s `_into` forms),
+//! and the Runge–Kutta stages are fused in-place passes over it.
 
 use psdns_fft::{Complex, Real};
 use psdns_trace::SpanKind;
 
-use crate::field::{SpectralField, Transform3d};
+use crate::field::{LocalShape, PhysicalField, SpectralField, Transform3d};
 use crate::forcing::Forcing;
 use crate::integrity::{
     self, IntegrityAccumulator, IntegrityConfig, IntegrityError, IntegrityEvent,
@@ -58,6 +64,172 @@ impl Default for NsConfig {
     }
 }
 
+/// One local Fourier mode as [`ModeTables::for_each_mode`] visits it.
+#[derive(Copy, Clone)]
+struct Mode {
+    /// Storage index ([`LocalShape::spec_idx`]).
+    i: usize,
+    /// FFT indices along x (half spectrum), y and *global* z.
+    x: usize,
+    y: usize,
+    z: usize,
+    /// Integer `|k|²`: the index into every by-magnitude table.
+    q: usize,
+}
+
+/// Per-mode constants of the spectral passes, tabulated once per solver.
+/// Wavenumbers are integers, so everything that depends on a mode only
+/// through `|k|²` is a table of `3(N/2)² + 1` entries that stays in cache.
+struct ModeTables<T> {
+    shape: LocalShape,
+    /// Signed wavenumber of an FFT index, as the projector multiplies by it.
+    k: Vec<T>,
+    /// The same as integers, for `|k|²`.
+    k_int: Vec<usize>,
+    /// `1/|k|²` by `|k|²` (entry 0 unused: the mean mode is not projected).
+    inv_k2: Vec<T>,
+    /// Dealiasing mask by `|k|²`.
+    keep: Vec<bool>,
+}
+
+impl<T: Real> ModeTables<T> {
+    fn new(shape: LocalShape) -> Self {
+        let n = shape.n;
+        let grid = shape.grid();
+        let wavenumbers = psdns_domain::grid::wavenumbers(n);
+        let q_max = 3 * (n / 2) * (n / 2);
+        Self {
+            shape,
+            k: wavenumbers.iter().map(|&k| T::from_f64(k as f64)).collect(),
+            k_int: wavenumbers
+                .iter()
+                .map(|&k| k.unsigned_abs() as usize)
+                .collect(),
+            inv_k2: (0..=q_max).map(|q| T::from_f64(1.0 / q as f64)).collect(),
+            // The spherical truncation of `Grid::keep`, which sees a mode
+            // only through |k|².
+            keep: (0..=q_max)
+                .map(|q| (q as f64).sqrt() <= grid.kmax)
+                .collect(),
+        }
+    }
+
+    /// Visit every local mode in storage order.
+    fn for_each_mode(&self, mut f: impl FnMut(Mode)) {
+        let s = self.shape;
+        let mut i = 0;
+        for zl in 0..s.mz {
+            let z = s.z_global(zl);
+            for y in 0..s.n {
+                let q_yz = self.k_int[y] * self.k_int[y] + self.k_int[z] * self.k_int[z];
+                for x in 0..s.nxh {
+                    let q = q_yz + x * x;
+                    f(Mode { i, x, y, z, q });
+                    i += 1;
+                }
+            }
+        }
+    }
+
+    /// Projection perpendicular to **k** and (optionally) the dealiasing
+    /// truncation, in one pass.
+    fn project_and_dealias(&self, f: &mut [SpectralField<T>; 3], dealias: bool) {
+        let [f0, f1, f2] = f;
+        self.for_each_mode(|m| {
+            if dealias && !self.keep[m.q] {
+                f0.data[m.i] = Complex::zero();
+                f1.data[m.i] = Complex::zero();
+                f2.data[m.i] = Complex::zero();
+            } else if m.q > 0 {
+                let (kx, ky, kz) = (self.k[m.x], self.k[m.y], self.k[m.z]);
+                let (a, b, c) = (f0.data[m.i], f1.data[m.i], f2.data[m.i]);
+                let kdotf = a.scale(kx) + b.scale(ky) + c.scale(kz);
+                let scale = kdotf.scale(self.inv_k2[m.q]);
+                f0.data[m.i] = a - scale.scale(kx);
+                f1.data[m.i] = b - scale.scale(ky);
+                f2.data[m.i] = c - scale.scale(kz);
+            }
+        });
+    }
+}
+
+/// The viscous integrating factors `exp(−ν|k|²h)` for the full and the half
+/// step, by `|k|²`; rebuilt only when `ν` or `Δt` change.
+struct IntegratingFactor<T> {
+    nu: f64,
+    dt: f64,
+    full: Vec<T>,
+    half: Vec<T>,
+}
+
+impl<T: Real> IntegratingFactor<T> {
+    fn new(len: usize) -> Self {
+        Self {
+            nu: f64::NAN,
+            dt: f64::NAN,
+            full: vec![T::ZERO; len],
+            half: vec![T::ZERO; len],
+        }
+    }
+
+    fn refresh(&mut self, nu: f64, dt: f64) {
+        if (self.nu, self.dt) == (nu, dt) {
+            return;
+        }
+        (self.nu, self.dt) = (nu, dt);
+        for (q, (full, half)) in self.full.iter_mut().zip(&mut self.half).enumerate() {
+            let k2 = q as f64;
+            *full = T::from_f64((-nu * k2 * dt).exp());
+            *half = T::from_f64((-nu * k2 * (dt / 2.0)).exp());
+        }
+    }
+}
+
+/// Every field a step touches besides the state itself, allocated once. A
+/// buffer here is either fully overwritten before it is read or explicitly
+/// copied into — never cleared by habit (DESIGN.md §11, "Steady-state
+/// memory", lists who writes and who reads each).
+struct NsWorkspace<T: Real> {
+    /// The six-field transform input of the nonlinear term: the stage
+    /// velocity û in `[0..3]`, its vorticity ω̂ in `[3..6]`.
+    six: Vec<SpectralField<T>>,
+    /// The nonlinear term of the current stage.
+    k: [SpectralField<T>; 3],
+    /// The running Runge–Kutta combination; becomes the state by a swap.
+    next: [SpectralField<T>; 3],
+    /// u and ω in physical space.
+    phys: Vec<PhysicalField<T>>,
+    /// u × ω.
+    cross: [PhysicalField<T>; 3],
+    /// Pre-step state kept by [`NavierStokes::step_verified`] (allocated by
+    /// the first armed step).
+    snapshot: Option<[SpectralField<T>; 3]>,
+    tables: ModeTables<T>,
+    factor: IntegratingFactor<T>,
+}
+
+impl<T: Real> NsWorkspace<T> {
+    fn new(s: LocalShape) -> Self {
+        let tables = ModeTables::new(s);
+        Self {
+            six: vec![SpectralField::zeros(s); 6],
+            k: std::array::from_fn(|_| SpectralField::zeros(s)),
+            next: std::array::from_fn(|_| SpectralField::zeros(s)),
+            phys: vec![PhysicalField::zeros(s); 6],
+            cross: std::array::from_fn(|_| PhysicalField::zeros(s)),
+            snapshot: None,
+            factor: IntegratingFactor::new(tables.keep.len()),
+            tables,
+        }
+    }
+}
+
+fn copy_fields<T: Real>(dst: &mut [SpectralField<T>], src: &[SpectralField<T>]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        d.data.copy_from_slice(&s.data);
+    }
+}
+
 /// The distributed solver, generic over the transform backend (CPU slab,
 /// synchronous GPU, asynchronous batched GPU).
 pub struct NavierStokes<T: Real, B: Transform3d<T>> {
@@ -73,8 +245,9 @@ pub struct NavierStokes<T: Real, B: Transform3d<T>> {
     /// All-integer log of violations, retries and heals, appended by
     /// [`Self::step_verified`]. Byte-identical across same-seed reruns.
     pub integrity_events: Vec<IntegrityEvent>,
-    /// Per-step invariant sums filled by [`Self::nonlinear`] while armed.
+    /// Per-step invariant sums filled by the nonlinear term while armed.
     acc: IntegrityAccumulator,
+    ws: NsWorkspace<T>,
 }
 
 impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
@@ -92,13 +265,15 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
             integrity: IntegrityConfig::default(),
             integrity_events: Vec::new(),
             acc: IntegrityAccumulator::default(),
+            ws: NsWorkspace::new(shape),
         };
         // Make the initial condition admissible: solenoidal and dealiased.
-        solver.project_and_dealias_state();
-        if let Some(f) = solver.cfg.forcing.clone() {
-            let mut forcing = f;
-            forcing.prime(&solver.u, solver.backend.comm());
-            solver.cfg.forcing = Some(forcing);
+        solver
+            .ws
+            .tables
+            .project_and_dealias(&mut solver.u, solver.cfg.dealias);
+        if let Some(f) = solver.cfg.forcing.as_mut() {
+            f.prime(&solver.u, solver.backend.comm());
         }
         solver
     }
@@ -106,17 +281,28 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
     /// The full nonlinear operator `N(û) = P_k[ F{u × ω} ]`, dealiased.
     /// Public so diagnostics (energy-transfer spectra) can evaluate it.
     pub fn nonlinear(&mut self, u: &[SpectralField<T>; 3]) -> [SpectralField<T>; 3] {
+        copy_fields(&mut self.ws.six[..3], u);
+        self.nonlinear_staged();
+        self.ws.k.clone()
+    }
+
+    /// `ws.k ← N(ws.six[0..3])`: curl → transform → cross product →
+    /// transform → project, every stage writing workspace fields. The stage
+    /// velocity in `ws.six[0..3]` is consumed (phase shifting rotates it in
+    /// place).
+    fn nonlinear_staged(&mut self) {
         let tracer = self.backend.tracer().cloned();
         let _span = tracer
             .as_ref()
             .map(|t| t.span(SpanKind::NonlinearTerm, "solver.nl", "nonlinear"));
-        // Spectral vorticity ω̂ = i k × û (local, z-slab).
-        let w = crate::ops::curl(u);
-        // One batched transform of all 6 fields → one all-to-all, like the
+        let ws = &mut self.ws;
+        // Spectral vorticity ω̂ = i k × û (local, z-slab), next to û: one
+        // batched transform of all 6 fields → one all-to-all, like the
         // paper's 3-variable transposes but for the rotational form.
-        let mut fields: Vec<SpectralField<T>> = u.iter().chain(w.iter()).cloned().collect();
+        let (vel, vort) = ws.six.split_at_mut(3);
+        crate::ops::curl_into(vel, vort);
         if self.cfg.phase_shift {
-            for f in fields.iter_mut() {
+            for f in ws.six.iter_mut() {
                 apply_phase_shift(f, true);
             }
         }
@@ -125,41 +311,39 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
         // other side. Both directions share one accumulator pair.
         let parseval = self.integrity.parseval_tol.is_some();
         if parseval {
-            self.acc.spec_energy += integrity::spectral_energy_local(&fields);
+            self.acc.spec_energy += integrity::spectral_energy_local(&ws.six);
         }
-        let phys = self.backend.fourier_to_physical(&fields);
+        self.backend.fourier_to_physical_into(&ws.six, &mut ws.phys);
         if parseval {
-            self.acc.phys_energy += integrity::physical_energy_local(&phys);
+            self.acc.phys_energy += integrity::physical_energy_local(&ws.phys);
         }
-        let (up, wp) = phys.split_at(3);
+        let (up, wp) = ws.phys.split_at(3);
 
         // Cross product u × ω pointwise in physical space — on the device
         // for accelerator backends (see Transform3d::cross_product).
-        let nl = self.backend.cross_product(up, wp);
+        self.backend.cross_product_into(up, wp, &mut ws.cross);
         if self.integrity.cross_tol.is_some() {
-            let r = integrity::cross_orthogonality_local(up, wp, &nl);
+            let r = integrity::cross_orthogonality_local(up, wp, &ws.cross);
             self.acc.ortho_max = self.acc.ortho_max.max(r);
         }
         if parseval {
-            self.acc.phys_energy += integrity::physical_energy_local(&nl);
+            self.acc.phys_energy += integrity::physical_energy_local(&ws.cross);
         }
-        let mut spec = self.backend.physical_to_fourier(&nl);
+        self.backend.physical_to_fourier_into(&ws.cross, &mut ws.k);
         if parseval {
             // Before extraction/projection — those drop energy legitimately.
-            self.acc.spec_energy += integrity::spectral_energy_local(&spec);
+            self.acc.spec_energy += integrity::spectral_energy_local(&ws.k);
         }
-        let mut out: [SpectralField<T>; 3] = [spec.remove(0), spec.remove(0), spec.remove(0)];
         if self.cfg.phase_shift {
-            for f in out.iter_mut() {
+            for f in ws.k.iter_mut() {
                 apply_phase_shift(f, false);
             }
         }
         let proj = tracer
             .as_ref()
             .map(|t| t.span(SpanKind::Projection, "solver.proj", "project+dealias"));
-        project_and_dealias(&mut out, self.cfg.dealias);
+        ws.tables.project_and_dealias(&mut ws.k, self.cfg.dealias);
         drop(proj);
-        out
     }
 
     /// CFL-limited time step: `dt = cfl·Δx / max|u_i|`, reduced globally.
@@ -167,9 +351,10 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
     /// space operation in this code.
     pub fn suggest_dt(&mut self, cfl: f64) -> f64 {
         let s = self.backend.shape();
-        let phys = self.backend.fourier_to_physical(&self.u.clone());
+        let phys = &mut self.ws.phys[..3];
+        self.backend.fourier_to_physical_into(&self.u, phys);
         let mut umax = 0.0f64;
-        for f in &phys {
+        for f in phys.iter() {
             for &v in &f.data {
                 umax = umax.max(v.to_f64().abs());
             }
@@ -183,30 +368,6 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
         }
     }
 
-    fn project_and_dealias_state(&mut self) {
-        project_and_dealias(&mut self.u, self.cfg.dealias);
-    }
-
-    /// Integrating factor `exp(−νk²·h)` applied to a field triple.
-    fn apply_if(&self, f: &mut [SpectralField<T>; 3], h: f64) {
-        let s = self.backend.shape();
-        let grid = s.grid();
-        let nu = self.cfg.nu;
-        for zl in 0..s.mz {
-            let z = s.z_global(zl);
-            for y in 0..s.n {
-                for x in 0..s.nxh {
-                    let k2 = grid.k_sqr(x, y, z);
-                    let e = T::from_f64((-nu * k2 * h).exp());
-                    let i = s.spec_idx(x, y, zl);
-                    for c in f.iter_mut() {
-                        c.data[i] = c.data[i].scale(e);
-                    }
-                }
-            }
-        }
-    }
-
     /// Advance one time step.
     pub fn step(&mut self) {
         let _span = self.backend.tracer().map(|t| {
@@ -216,13 +377,13 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
                 &format!("step[{}]", self.step_count),
             )
         });
+        self.ws.factor.refresh(self.cfg.nu, self.cfg.dt);
         match self.cfg.scheme {
             TimeScheme::Rk2 => self.step_rk2(),
             TimeScheme::Rk4 => self.step_rk4(),
         }
-        if let Some(mut f) = self.cfg.forcing.take() {
+        if let Some(f) = self.cfg.forcing.as_mut() {
             f.apply(&mut self.u, self.backend.comm());
-            self.cfg.forcing = Some(f);
         }
         self.step_count += 1;
         self.time += self.cfg.dt;
@@ -258,7 +419,29 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
             self.step();
             return Ok(());
         }
-        let snap = (self.u.clone(), self.time, self.cfg.forcing.clone());
+        // The pre-step state goes into the workspace's snapshot fields,
+        // which this call borrows for its duration.
+        let snapshot = match self.ws.snapshot.take() {
+            Some(mut fields) => {
+                copy_fields(&mut fields, &self.u);
+                fields
+            }
+            None => self.u.clone(),
+        };
+        let result = self.step_verified_from(&snapshot);
+        self.ws.snapshot = Some(snapshot);
+        result
+    }
+
+    /// The detect → retry loop of [`Self::step_verified`], given a copy of
+    /// the current state. The step runs in persistent buffers, but every
+    /// one of them is rewritten from `u` before it is read, so restoring `u`
+    /// (and the scalars beside it) is a complete rollback.
+    fn step_verified_from(
+        &mut self,
+        snapshot: &[SpectralField<T>; 3],
+    ) -> Result<(), IntegrityError> {
+        let (time, forcing) = (self.time, self.cfg.forcing.clone());
         let from_step = self.step_count;
         let mut attempt: u32 = 0;
         loop {
@@ -267,49 +450,39 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
             // diagnostics between steps) so they cannot taint this step.
             let _ = self.backend.take_nonfinite();
             self.step();
-            match self.check_step() {
-                Ok(()) => {
-                    if attempt > 0 {
-                        self.integrity_events.push(IntegrityEvent::Healed {
-                            step: from_step,
-                            attempts: attempt,
-                        });
-                    }
-                    return Ok(());
-                }
-                Err(e) => {
-                    self.integrity_events.push(IntegrityEvent::Violation {
+            let Err(e) = self.check_step() else {
+                if attempt > 0 {
+                    self.integrity_events.push(IntegrityEvent::Healed {
                         step: from_step,
-                        attempt,
-                        check: e.check(),
+                        attempts: attempt,
                     });
-                    if attempt >= self.integrity.max_step_retries {
-                        // Leave the solver on the pre-step state (not the
-                        // corrupted post-step one) so callers escalating to
-                        // checkpoint rollback start from something sane.
-                        let (u, time, forcing) = snap;
-                        self.u = u;
-                        self.time = time;
-                        self.step_count = from_step;
-                        self.cfg.forcing = forcing;
-                        return Err(IntegrityError::RetriesExhausted {
-                            step: from_step,
-                            attempts: attempt + 1,
-                            last: e.check(),
-                        });
-                    }
-                    attempt += 1;
-                    self.integrity_events.push(IntegrityEvent::Retry {
-                        step: from_step,
-                        attempt,
-                    });
-                    let (u, time, forcing) = snap.clone();
-                    self.u = u;
-                    self.time = time;
-                    self.step_count = from_step;
-                    self.cfg.forcing = forcing;
                 }
+                return Ok(());
+            };
+            self.integrity_events.push(IntegrityEvent::Violation {
+                step: from_step,
+                attempt,
+                check: e.check(),
+            });
+            // Back onto the pre-step state — also when giving up, so callers
+            // escalating to checkpoint rollback start from something sane
+            // rather than the corrupted post-step state.
+            copy_fields(&mut self.u, snapshot);
+            self.time = time;
+            self.step_count = from_step;
+            self.cfg.forcing.clone_from(&forcing);
+            if attempt >= self.integrity.max_step_retries {
+                return Err(IntegrityError::RetriesExhausted {
+                    step: from_step,
+                    attempts: attempt + 1,
+                    last: e.check(),
+                });
             }
+            attempt += 1;
+            self.integrity_events.push(IntegrityEvent::Retry {
+                step: from_step,
+                attempt,
+            });
         }
     }
 
@@ -383,65 +556,89 @@ impl<T: Real, B: Transform3d<T>> NavierStokes<T, B> {
         Ok(())
     }
 
+    /// One fused pass over every (mode, component): `f(e, eh, u, k, stage,
+    /// next)` sees the integrating factors for the full and half step, the
+    /// state and the current nonlinear term, and writes the next stage's
+    /// velocity (straight into the transform input) and the running
+    /// combination.
+    fn rk_pass(
+        &mut self,
+        f: impl Fn(T, T, Complex<T>, Complex<T>, &mut Complex<T>, &mut Complex<T>),
+    ) {
+        let NsWorkspace {
+            six,
+            k,
+            next,
+            tables,
+            factor,
+            ..
+        } = &mut self.ws;
+        let u = &self.u;
+        tables.for_each_mode(|m| {
+            let (e, eh) = (factor.full[m.q], factor.half[m.q]);
+            for c in 0..3 {
+                f(
+                    e,
+                    eh,
+                    u[c].data[m.i],
+                    k[c].data[m.i],
+                    &mut six[c].data[m.i],
+                    &mut next[c].data[m.i],
+                );
+            }
+        });
+    }
+
+    /// `ws.k ← N(û)` for the first stage of either scheme.
+    fn nonlinear_of_state(&mut self) {
+        copy_fields(&mut self.ws.six[..3], &self.u);
+        self.nonlinear_staged();
+    }
+
     /// Heun RK2 with exact viscous integrating factor:
     /// `v = E·(û + Δt·N(û))`, `û⁺ = E·û + Δt/2·(E·N(û) + N(v))`.
     fn step_rk2(&mut self) {
-        let dt = self.cfg.dt;
-        let u0 = self.u.clone();
-        let n1 = self.nonlinear(&u0);
-        // Predictor: full Euler step under the integrating factor.
-        let mut v = u0.clone();
-        axpy(&mut v, &n1, dt);
-        self.apply_if(&mut v, dt);
-        let n2 = self.nonlinear(&v);
-        // Corrector: û⁺ = E·û + Δt/2·(E·N₁ + N₂).
-        let mut unew = u0;
-        self.apply_if(&mut unew, dt);
-        let mut en1 = n1;
-        self.apply_if(&mut en1, dt);
-        axpy(&mut unew, &en1, dt / 2.0);
-        axpy(&mut unew, &n2, dt / 2.0);
-        self.u = unew;
+        let dt = T::from_f64(self.cfg.dt);
+        let half = T::from_f64(self.cfg.dt / 2.0);
+        self.nonlinear_of_state();
+        // Predictor: full Euler step under the integrating factor; and the
+        // first two terms of the corrector while û and N₁ are at hand.
+        self.rk_pass(|e, _, u, n1, v, next| {
+            *v = (u + n1.scale(dt)).scale(e);
+            *next = u.scale(e) + n1.scale(e).scale(half);
+        });
+        self.nonlinear_staged();
+        self.rk_pass(|_, _, _, n2, _, next| *next += n2.scale(half));
+        std::mem::swap(&mut self.u, &mut self.ws.next);
     }
 
-    /// Classical RK4 with integrating factor at half/full steps.
+    /// Classical RK4 with integrating factor at half/full steps:
+    /// `û⁺ = E·û + Δt/6·(E·k₁ + 2·E½·k₂ + 2·E½·k₃ + k₄)`, accumulated as
+    /// each `kᵢ` becomes available.
     fn step_rk4(&mut self) {
-        let dt = self.cfg.dt;
-        let u0 = self.u.clone();
-
-        let k1 = self.nonlinear(&u0);
-
-        let mut s2 = u0.clone();
-        axpy(&mut s2, &k1, dt / 2.0);
-        self.apply_if(&mut s2, dt / 2.0);
-        let k2 = self.nonlinear(&s2);
-
-        let mut s3 = u0.clone();
-        self.apply_if(&mut s3, dt / 2.0);
-        axpy(&mut s3, &k2, dt / 2.0);
-        let k3 = self.nonlinear(&s3);
-
-        let mut s4 = u0.clone();
-        self.apply_if(&mut s4, dt / 2.0);
-        let mut k3e = k3.clone();
+        let dt = T::from_f64(self.cfg.dt);
+        let half = T::from_f64(self.cfg.dt / 2.0);
+        let third = T::from_f64(self.cfg.dt / 3.0);
+        let sixth = T::from_f64(self.cfg.dt / 6.0);
+        self.nonlinear_of_state();
+        self.rk_pass(|e, eh, u, k1, s2, next| {
+            *s2 = (u + k1.scale(half)).scale(eh);
+            *next = u.scale(e) + k1.scale(e).scale(sixth);
+        });
+        self.nonlinear_staged();
+        self.rk_pass(|_, eh, u, k2, s3, next| {
+            *s3 = u.scale(eh) + k2.scale(half);
+            *next += k2.scale(eh).scale(third);
+        });
+        self.nonlinear_staged();
         // k3 enters at the half step; bring both to the full step.
-        axpy(&mut s4, &k3e, dt);
-        self.apply_if(&mut s4, dt / 2.0);
-        let k4 = self.nonlinear(&s4);
-
-        // û⁺ = E·u0 + dt/6·(E·k1 + 2·Eh·k2 + 2·Eh·k3 + k4)
-        let mut acc = u0.clone();
-        self.apply_if(&mut acc, dt); // E·u0
-        let mut k1e = k1;
-        self.apply_if(&mut k1e, dt);
-        axpy(&mut acc, &k1e, dt / 6.0);
-        let mut k2e = k2;
-        self.apply_if(&mut k2e, dt / 2.0);
-        axpy(&mut acc, &k2e, dt / 3.0);
-        self.apply_if(&mut k3e, dt / 2.0);
-        axpy(&mut acc, &k3e, dt / 3.0);
-        axpy(&mut acc, &k4, dt / 6.0);
-        self.u = acc;
+        self.rk_pass(|_, eh, u, k3, s4, next| {
+            *s4 = (u.scale(eh) + k3.scale(dt)).scale(eh);
+            *next += k3.scale(eh).scale(third);
+        });
+        self.nonlinear_staged();
+        self.rk_pass(|_, _, _, k4, _, next| *next += k4.scale(sixth));
+        std::mem::swap(&mut self.u, &mut self.ws.next);
     }
 }
 
@@ -465,48 +662,12 @@ pub fn apply_phase_shift<T: Real>(f: &mut SpectralField<T>, forward: bool) {
     }
 }
 
-/// `y ← y + a·x` over field triples.
-fn axpy<T: Real>(y: &mut [SpectralField<T>; 3], x: &[SpectralField<T>; 3], a: f64) {
-    let a = T::from_f64(a);
-    for (yc, xc) in y.iter_mut().zip(x.iter()) {
-        for (yv, xv) in yc.data.iter_mut().zip(xc.data.iter()) {
-            *yv += xv.scale(a);
-        }
-    }
-}
-
 /// Project a spectral vector field perpendicular to **k** (incompressibility)
 /// and optionally apply the dealiasing truncation. The k = 0 mode (mean
 /// flow) is preserved by projection and zeroed by nonlinear-term callers via
 /// its own k·N(0) = 0 structure.
 pub fn project_and_dealias<T: Real>(f: &mut [SpectralField<T>; 3], dealias: bool) {
-    let s = f[0].shape;
-    let grid = s.grid();
-    for zl in 0..s.mz {
-        let z = s.z_global(zl);
-        for y in 0..s.n {
-            for x in 0..s.nxh {
-                let i = s.spec_idx(x, y, zl);
-                let [kx, ky, kz] = grid.k_vec(x, y, z);
-                let k2 = kx * kx + ky * ky + kz * kz;
-                if k2 > 0.0 {
-                    let (a, b, c) = (f[0].data[i], f[1].data[i], f[2].data[i]);
-                    let kdotf = a.scale(T::from_f64(kx))
-                        + b.scale(T::from_f64(ky))
-                        + c.scale(T::from_f64(kz));
-                    let scale = kdotf.scale(T::from_f64(1.0 / k2));
-                    f[0].data[i] = a - scale.scale(T::from_f64(kx));
-                    f[1].data[i] = b - scale.scale(T::from_f64(ky));
-                    f[2].data[i] = c - scale.scale(T::from_f64(kz));
-                }
-                if dealias && !grid.keep(x, y, z) {
-                    f[0].data[i] = Complex::zero();
-                    f[1].data[i] = Complex::zero();
-                    f[2].data[i] = Complex::zero();
-                }
-            }
-        }
-    }
+    ModeTables::new(f[0].shape).project_and_dealias(f, dealias);
 }
 
 #[cfg(test)]

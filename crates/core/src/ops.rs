@@ -60,26 +60,37 @@ pub fn divergence<T: Real>(u: &[SpectralField<T>; 3]) -> SpectralField<T> {
 /// term).
 pub fn curl<T: Real>(u: &[SpectralField<T>; 3]) -> [SpectralField<T>; 3] {
     let s = u[0].shape;
-    let grid = s.grid();
     let mut w = [
         SpectralField::zeros(s),
         SpectralField::zeros(s),
         SpectralField::zeros(s),
     ];
+    curl_into(u, &mut w);
+    w
+}
+
+/// [`curl`] of the three fields `u` into the three fields `w` (every element
+/// overwritten). Slices, so the solver can point both at halves of its
+/// six-field transform input.
+pub fn curl_into<T: Real>(u: &[SpectralField<T>], w: &mut [SpectralField<T>]) {
+    let ([u0, u1, u2], [w0, w1, w2]) = (u, w) else {
+        panic!("curl takes and fills three components");
+    };
+    let s = u0.shape;
+    let grid = s.grid();
     for zl in 0..s.mz {
         let z = s.z_global(zl);
         for y in 0..s.n {
             for x in 0..s.nxh {
                 let [kx, ky, kz] = grid.k_vec(x, y, z);
                 let i = s.spec_idx(x, y, zl);
-                let (ux, uy, uz) = (u[0].data[i], u[1].data[i], u[2].data[i]);
-                w[0].data[i] = (uz.scale(T::from_f64(ky)) - uy.scale(T::from_f64(kz))).mul_i();
-                w[1].data[i] = (ux.scale(T::from_f64(kz)) - uz.scale(T::from_f64(kx))).mul_i();
-                w[2].data[i] = (uy.scale(T::from_f64(kx)) - ux.scale(T::from_f64(ky))).mul_i();
+                let (ux, uy, uz) = (u0.data[i], u1.data[i], u2.data[i]);
+                w0.data[i] = (uz.scale(T::from_f64(ky)) - uy.scale(T::from_f64(kz))).mul_i();
+                w1.data[i] = (ux.scale(T::from_f64(kz)) - uz.scale(T::from_f64(kx))).mul_i();
+                w2.data[i] = (uy.scale(T::from_f64(kx)) - ux.scale(T::from_f64(ky))).mul_i();
             }
         }
     }
-    w
 }
 
 /// `∇²f`: `−k²·f̂`.

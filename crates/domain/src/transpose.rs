@@ -92,61 +92,95 @@ impl SlabTranspose {
         out
     }
 
+    /// Forward transpose, sender side, one z-plane at a time: where row `y`
+    /// of local plane `zl` of variable `v` (`nxh` elements) lands in the
+    /// send buffer. Lets the host path transform a plane in a cache-sized
+    /// buffer and pack it straight out, instead of holding a transformed
+    /// copy of the whole slab.
+    #[inline]
+    pub fn zslab_row_dst(&self, v: usize, y: usize, zl: usize) -> usize {
+        let my = self.slab.my();
+        self.block_idx(y / my, v, y % my, zl, 0)
+    }
+
     /// Forward transpose, receiver side: chunks from the receive buffer
     /// block of `src_rank` into a y-slab variable buffer, restricted to the
     /// local-y range `yr` (the y-phase pencil). Chunk length = `nxh`.
     pub fn unpack_to_yslab(&self, src_rank: usize, v: usize, yr: Range<usize>) -> Vec<Chunk> {
+        self.unpack_to_yslab_iter(src_rank, v, yr).collect()
+    }
+
+    /// [`Self::unpack_to_yslab`] without the chunk list: the steady-state
+    /// host path walks the map instead of materializing it.
+    pub fn unpack_to_yslab_iter(
+        &self,
+        src_rank: usize,
+        v: usize,
+        yr: Range<usize>,
+    ) -> impl Iterator<Item = Chunk> + '_ {
         assert!(src_rank < self.slab.p && v < self.nv);
         let (my, mz) = (self.slab.my(), self.slab.mz());
         assert!(yr.end <= my);
-        let mut out = Vec::with_capacity(yr.len() * mz);
-        for zl in 0..mz {
+        (0..mz).flat_map(move |zl| {
             let z = src_rank * mz + zl;
-            for yl in yr.clone() {
+            yr.clone().map(move |yl| {
                 let src = self.block_idx(src_rank, v, yl, zl, 0);
-                let dst = self.nxh * (yl + my * z);
-                out.push((src, dst, self.nxh));
-            }
-        }
-        out
+                (src, self.nxh * (yl + my * z), self.nxh)
+            })
+        })
     }
 
     /// Inverse transpose, sender side: chunks from a y-slab variable buffer
     /// (restricted to local-y range `yr`) into the send buffer block for
     /// `dest`, whose z range the data belongs to. Chunk length = `nxh`.
     pub fn pack_from_yslab(&self, dest: usize, v: usize, yr: Range<usize>) -> Vec<Chunk> {
+        self.pack_from_yslab_iter(dest, v, yr).collect()
+    }
+
+    /// [`Self::pack_from_yslab`] without the chunk list.
+    pub fn pack_from_yslab_iter(
+        &self,
+        dest: usize,
+        v: usize,
+        yr: Range<usize>,
+    ) -> impl Iterator<Item = Chunk> + '_ {
         assert!(dest < self.slab.p && v < self.nv);
         let (my, mz) = (self.slab.my(), self.slab.mz());
         assert!(yr.end <= my);
-        let mut out = Vec::with_capacity(yr.len() * mz);
-        for zl in 0..mz {
+        (0..mz).flat_map(move |zl| {
             let z = dest * mz + zl;
-            for yl in yr.clone() {
-                let src = self.nxh * (yl + my * z);
+            yr.clone().map(move |yl| {
                 let dst = self.block_idx(dest, v, yl, zl, 0);
-                out.push((src, dst, self.nxh));
-            }
-        }
-        out
+                (self.nxh * (yl + my * z), dst, self.nxh)
+            })
+        })
     }
 
     /// Inverse transpose, receiver side: chunks from the receive buffer
     /// block of `src_rank` (which owns a y range) into a z-slab variable
     /// buffer, restricted to x range `xr`. Chunk length = `xr.len()`.
     pub fn unpack_to_zslab(&self, src_rank: usize, v: usize, xr: Range<usize>) -> Vec<Chunk> {
+        self.unpack_to_zslab_iter(src_rank, v, xr).collect()
+    }
+
+    /// [`Self::unpack_to_zslab`] without the chunk list.
+    pub fn unpack_to_zslab_iter(
+        &self,
+        src_rank: usize,
+        v: usize,
+        xr: Range<usize>,
+    ) -> impl Iterator<Item = Chunk> + '_ {
         assert!(src_rank < self.slab.p && v < self.nv);
         assert!(xr.end <= self.nxh);
         let (n, my, mz) = (self.slab.n, self.slab.my(), self.slab.mz());
-        let mut out = Vec::with_capacity(my * mz);
-        for zl in 0..mz {
-            for yl in 0..my {
+        (0..mz).flat_map(move |zl| {
+            let xr = xr.clone();
+            (0..my).map(move |yl| {
                 let y = src_rank * my + yl;
                 let src = self.block_idx(src_rank, v, yl, zl, xr.start);
-                let dst = xr.start + self.nxh * (y + n * zl);
-                out.push((src, dst, xr.len()));
-            }
-        }
-        out
+                (src, xr.start + self.nxh * (y + n * zl), xr.len())
+            })
+        })
     }
 }
 
@@ -154,7 +188,12 @@ impl SlabTranspose {
 /// Host-side helper used by the CPU reference path and by tests; the device
 /// path feeds the same chunks to zero-copy kernels.
 pub fn apply_chunks<T: Copy>(chunks: &[Chunk], src: &[T], dst: &mut [T]) {
-    for &(s, d, len) in chunks {
+    apply_chunk_iter(chunks.iter().copied(), src, dst);
+}
+
+/// [`apply_chunks`] over one of the `*_iter` maps.
+pub fn apply_chunk_iter<T: Copy>(chunks: impl Iterator<Item = Chunk>, src: &[T], dst: &mut [T]) {
+    for (s, d, len) in chunks {
         dst[d..d + len].copy_from_slice(&src[s..s + len]);
     }
 }

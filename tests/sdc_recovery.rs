@@ -21,7 +21,7 @@
 use psdns::chaos::{ChaosConfig, ChaosEngine, FaultKind, FaultPlan};
 use psdns::comm::Universe;
 use psdns::core::{
-    energy_spectrum, run_self_healing, taylor_green, IntegrityCheck, IntegrityConfig,
+    energy_spectrum, run_self_healing, taylor_green, Forcing, IntegrityCheck, IntegrityConfig,
     IntegrityError, IntegrityEvent, LocalShape, NavierStokes, NsConfig, SelfHealingConfig,
     SlabFftCpu, TimeScheme,
 };
@@ -277,6 +277,150 @@ fn retries_exhausted_escalates_to_buddy_rollback() {
             fe.iter()
                 .any(|e| matches!(e, IntegrityEvent::Rollback { to_step: 1, .. })),
             "rollback to the step-1 checkpoint must be logged: {fe:?}"
+        );
+    }
+}
+
+// ------------------------------------------------- persistent buffers ----
+
+/// Forced variant of [`cfg`]: the forcing state must roll back with the
+/// rest of the pre-step snapshot.
+fn forced_cfg() -> NsConfig {
+    NsConfig {
+        forcing: Some(Forcing::new(2.5)),
+        ..cfg()
+    }
+}
+
+/// Per rank: spectrum after `STEPS` verified forced steps, the event log as
+/// text, and the idle wire-buffer count of the universe at the end.
+fn forced_solve(engine: Option<ChaosEngine>) -> Vec<(Vec<f64>, String, usize)> {
+    let f = |mut comm: psdns::comm::Communicator| {
+        comm.set_abft_checksums(true);
+        let shape = LocalShape::new(N, RANKS, comm.rank());
+        let u = psdns::core::random_solenoidal::<f64>(shape, 3.0, 11);
+        let mut ns = NavierStokes::new(SlabFftCpu::<f64>::new(shape, comm), forced_cfg(), u);
+        ns.set_integrity(IntegrityConfig::armed());
+        for _ in 0..STEPS {
+            ns.step_verified().expect("one-shot corruption must heal");
+        }
+        let comm = ns.backend.comm();
+        let spec = energy_spectrum(&ns.u, comm);
+        // Every rank is past its last receive once the barrier completes.
+        comm.barrier();
+        let events = format!("{:?}", ns.integrity_events);
+        (spec, events, comm.wire_buffers_idle())
+    };
+    match engine {
+        Some(e) => Universe::run_chaos(RANKS, e, f).expect("corruption heals, job survives"),
+        None => Universe::run(RANKS, f),
+    }
+}
+
+/// Since the step became allocation-free, a staging-buffer flip lands in the
+/// backend's *persistent* send buffer and a kernel SEU in the solver's
+/// *persistent* cross-product fields, both in steady state (occurrence 2 =
+/// the second step, after every buffer has been used). The in-place retry
+/// must still heal byte-identically — nothing stale survives into the
+/// re-run — and log exactly what the allocating implementation logged (the
+/// string below was recorded at the commit before the workspace existed).
+#[test]
+fn corruption_of_persistent_buffers_heals_with_the_recorded_event_log() {
+    const RECORDED_LOG: &str = "[Violation { step: 1, attempt: 0, check: NonFinite }, \
+        Retry { step: 1, attempt: 1 }, Healed { step: 1, attempts: 1 }]";
+    let clean = forced_solve(None);
+    let mut seu = ChaosConfig::new(3);
+    seu.compute_corrupt = FaultPlan::at(2);
+    seu.compute_corrupt_site = Some("kernel:cross".to_string());
+    for engine in [
+        flip_engine(7, "buf:", FaultPlan::at(2)),
+        ChaosEngine::new(seu),
+    ] {
+        let faulty = forced_solve(Some(engine.clone()));
+        assert!(!engine.log().is_empty(), "the fault must fire");
+        for ((cs, ce, _), (fs, fe, _)) in clean.iter().zip(&faulty) {
+            assert_eq!(cs, fs, "healed spectra must be byte-identical");
+            assert_eq!(ce, "[]", "clean run raises no violations");
+            assert_eq!(fe, RECORDED_LOG, "event log changed");
+        }
+    }
+}
+
+/// A fault that re-fires on every attempt from the second step on: the
+/// retry budget runs out and *everything* a step advances — the state, the
+/// clock, the step counter and the forcing — must be back on the pre-step
+/// snapshot, bit for bit, on every rank.
+#[test]
+fn retries_exhausted_leaves_the_solver_on_the_pre_step_snapshot() {
+    let engine = flip_engine(5, "buf:", FaultPlan::window(1.0, 2, u64::MAX));
+    let out = Universe::run_chaos(RANKS, engine, |comm| {
+        let shape = LocalShape::new(N, RANKS, comm.rank());
+        let u = psdns::core::random_solenoidal::<f64>(shape, 3.0, 11);
+        let mut ns = NavierStokes::new(SlabFftCpu::<f64>::new(shape, comm), forced_cfg(), u);
+        ns.set_integrity(IntegrityConfig::armed());
+        ns.step_verified().expect("the first step is fault-free");
+        let before = (
+            ns.u.clone(),
+            ns.time.to_bits(),
+            ns.step_count,
+            format!("{:?}", ns.cfg.forcing),
+        );
+        let err = ns.step_verified();
+        let after = (
+            ns.u.clone(),
+            ns.time.to_bits(),
+            ns.step_count,
+            format!("{:?}", ns.cfg.forcing),
+        );
+        (err, before == after, after.2)
+    })
+    .expect("typed error, not rank death");
+    for (err, restored, step_count) in out {
+        assert!(
+            matches!(err, Err(IntegrityError::RetriesExhausted { step: 1, .. })),
+            "expected RetriesExhausted at step 1, got {err:?}"
+        );
+        assert!(
+            restored,
+            "u/time/step_count/forcing must equal the snapshot"
+        );
+        assert_eq!(step_count, 1);
+    }
+}
+
+/// Duplicated and dropped packets must neither return a wire buffer to the
+/// free-list twice nor leak one per fault: after a faulty run the list holds
+/// no more buffers than were ever in flight at once — per message size, `P`
+/// chunks from each of `P` ranks, for at most two exchanges overlapping
+/// (a rank may post the next all-to-all while a peer still drains the last).
+#[test]
+fn duplicate_and_drop_faults_keep_the_wire_free_list_bounded() {
+    let mut c = ChaosConfig::new(13);
+    c.duplicate = FaultPlan::with_prob(0.25);
+    c.drop = FaultPlan::with_prob(0.15);
+    // Enough resends that no message is lost for good.
+    c.retry.max_retries = 8;
+    c.retry.backoff = std::time::Duration::from_micros(50);
+    let engine = ChaosEngine::new(c);
+    let clean = forced_solve(None);
+    let faulty = forced_solve(Some(engine.clone()));
+    for kind in [FaultKind::Duplicate, FaultKind::Drop] {
+        assert!(
+            engine.log().iter().any(|r| r.kind == kind),
+            "{kind:?} faults must fire"
+        );
+    }
+    // Distinct (type, length) keys of this run: the 6- and 3-variable
+    // transposes, the 1-, 5- and shell-count reductions, and at most two
+    // sidecar lengths.
+    let sizes = 2 + 3 + 2;
+    let bound = sizes * 2 * RANKS * RANKS;
+    for ((cs, _, idle_clean), (fs, fe, idle)) in clean.iter().zip(&faulty) {
+        assert_eq!(cs, fs, "masked faults must not change the spectra");
+        assert_eq!(fe, "[]", "message faults stay below the monitors");
+        assert!(
+            *idle <= bound && *idle_clean <= bound,
+            "wire free-list holds {idle} buffers (clean run {idle_clean}, bound {bound})"
         );
     }
 }
